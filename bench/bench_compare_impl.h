@@ -23,9 +23,37 @@
 
 namespace apo::bench {
 
+inline bool EndsWith(const std::string& s, const char* suffix)
+{
+    const std::size_t n = std::strlen(suffix);
+    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/** Members that name a row's configuration rather than measure it.
+ * A sweep's row set can depend on the host (fig_replication_scaling
+ * adds a jobs=hw row only when hw != 4), so rows are matched by these
+ * fields, never by array position. */
+inline bool IsRowIdentityField(const std::string& key)
+{
+    static const char* const kFields[] = {
+        "nodes", "skew", "jobs", "mining_cache", "shared_decisions",
+        "tenants", "mix", "load", "policy", "checkpoint_interval_tasks",
+        "failures"};
+    for (const char* field : kFields) {
+        if (key == field) {
+            return true;
+        }
+    }
+    return false;
+}
+
 /** Minimal JSON reader over the machine-written record files: collects
- * every numeric leaf under its dotted path. Throws std::runtime_error
- * on malformed input. */
+ * every numeric leaf under its dotted path. Object elements of a
+ * `rows` array are keyed by their identity fields, e.g.
+ * `cluster_parallel.rows[jobs=4,mining_cache=true].hit_rate`; a repeated
+ * identity gets an occurrence suffix (`#1`, `#2`, ...), and a row
+ * without identity fields keeps its index among such rows. Throws
+ * std::runtime_error on malformed input. */
 class FlatJsonParser {
   public:
     explicit FlatJsonParser(const std::string& text) : text_(text) {}
@@ -33,6 +61,7 @@ class FlatJsonParser {
     std::map<std::string, double> Parse()
     {
         values_.clear();
+        scalars_.clear();
         at_ = 0;
         SkipSpace();
         ParseValue("");
@@ -90,6 +119,41 @@ class FlatJsonParser {
         return s;
     }
 
+    /** Parse one object element of a `rows` array at `path`. */
+    void ParseRow(const std::string& path,
+                  std::map<std::string, std::size_t>& occurrences)
+    {
+        std::map<std::string, double> outer_values;
+        std::map<std::string, std::string> outer_scalars;
+        outer_values.swap(values_);
+        outer_scalars.swap(scalars_);
+        ParseValue("");
+        std::string identity;
+        for (const auto& [key, text] : scalars_) {
+            if (IsRowIdentityField(key)) {
+                identity += (identity.empty() ? "" : ",") + key + "=" + text;
+            }
+        }
+        const std::size_t occurrence = occurrences[identity]++;
+        std::string row;
+        if (identity.empty()) {
+            row = path + "." + std::to_string(occurrence);
+        } else {
+            row = path + "[" + identity + "]";
+            if (occurrence > 0) {
+                row += "#" + std::to_string(occurrence);
+            }
+        }
+        for (const auto& [leaf, value] : values_) {
+            outer_values[row + "." + leaf] = value;
+        }
+        for (const auto& [leaf, text] : scalars_) {
+            outer_scalars[row + "." + leaf] = text;
+        }
+        values_.swap(outer_values);
+        scalars_.swap(outer_scalars);
+    }
+
     void ParseValue(const std::string& path)
     {
         SkipSpace();
@@ -123,8 +187,15 @@ class FlatJsonParser {
                 ++at_;
                 return;
             }
+            const bool rows = path == "rows" || EndsWith(path, ".rows");
+            std::map<std::string, std::size_t> occurrences;
             for (std::size_t index = 0;; ++index) {
-                ParseValue(path + "." + std::to_string(index));
+                SkipSpace();
+                if (rows && Peek() == '{') {
+                    ParseRow(path, occurrences);
+                } else {
+                    ParseValue(path + "." + std::to_string(index));
+                }
                 SkipSpace();
                 if (Peek() == ',') {
                     ++at_;
@@ -135,20 +206,16 @@ class FlatJsonParser {
             }
         }
         if (c == '"') {
-            ParseString();
+            scalars_[path] = ParseString();
             return;
         }
-        if (std::strncmp(text_.c_str() + at_, "true", 4) == 0) {
-            at_ += 4;
-            return;
-        }
-        if (std::strncmp(text_.c_str() + at_, "false", 5) == 0) {
-            at_ += 5;
-            return;
-        }
-        if (std::strncmp(text_.c_str() + at_, "null", 4) == 0) {
-            at_ += 4;
-            return;
+        for (const char* word : {"true", "false", "null"}) {
+            const std::size_t n = std::strlen(word);
+            if (text_.compare(at_, n, word) == 0) {
+                at_ += n;
+                scalars_[path] = word;
+                return;
+            }
         }
         // Number.
         char* end = nullptr;
@@ -156,20 +223,19 @@ class FlatJsonParser {
         if (end == text_.c_str() + at_) {
             Fail("expected a value");
         }
-        at_ = static_cast<std::size_t>(end - text_.c_str());
+        const auto length = static_cast<std::size_t>(end - text_.c_str()) - at_;
+        scalars_[path] = text_.substr(at_, length);
+        at_ += length;
         values_[path] = value;
     }
 
     const std::string& text_;
     std::size_t at_ = 0;
     std::map<std::string, double> values_;
+    /** Source text of every scalar leaf (strings unquoted), for row
+     * identities. */
+    std::map<std::string, std::string> scalars_;
 };
-
-inline bool EndsWith(const std::string& s, const char* suffix)
-{
-    const std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
 
 enum class Direction { kHigherIsBetter, kLowerIsBetter, kUntracked };
 

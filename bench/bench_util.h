@@ -30,11 +30,11 @@ namespace apo::bench {
 // -- JSON record-file helpers (BENCH_micro_repeats.json) --------------------
 //
 // The perf-record file is one JSON object shared by several writers:
-// micro_repeats rewrites its own members, fig_replication_scaling
-// merges its section in, and each must preserve the other's records.
-// These helpers locate a `"key": {...}` member without a JSON
-// library: by key search plus brace counting (the file is machine-
-// written, so no braces hide inside strings).
+// micro_repeats sets its own root members, the figure benches each
+// merge one section in, and every writer must preserve the others'
+// members. These helpers locate a top-level `"key": value` member
+// without a JSON library: by scanning at nesting depth 1 (the file
+// is machine-written, so strings hold no escaped quotes).
 
 inline std::string ReadFileOrEmpty(const std::string& path)
 {
@@ -47,129 +47,106 @@ inline std::string ReadFileOrEmpty(const std::string& path)
     return buffer.str();
 }
 
-/** Locate `"key": {...}`: on success, `member_begin` is the quoted
- * key's position and [value_begin, value_end) delimits the member's
- * object value (braces included). */
+/** End of the JSON value starting at `begin` (an object, array,
+ * string or bare scalar), or npos if it is unterminated. */
+inline std::size_t JsonValueEnd(const std::string& content,
+                                std::size_t begin)
+{
+    int depth = 0;
+    for (std::size_t at = begin; at < content.size(); ++at) {
+        const char c = content[at];
+        if (c == '"') {
+            at = content.find('"', at + 1);
+            if (at == std::string::npos) {
+                return at;
+            }
+            if (depth == 0) {
+                return at + 1;
+            }
+        } else if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            if (depth == 0) {
+                return at;  // a bare scalar ends at its parent's close
+            }
+            if (--depth == 0) {
+                return at + 1;
+            }
+        } else if (depth == 0 && (c == ',' || c == ' ' || c == '\n')) {
+            return at;
+        }
+    }
+    return depth == 0 ? content.size() : std::string::npos;
+}
+
+/** Locate the root object's member `"key": value`: on success,
+ * `member_begin` is the quoted key's position and
+ * [value_begin, value_end) delimits the value. Members of nested
+ * objects never match, so a root key that a section also uses
+ * (`config`, `hardware_concurrency`) finds the root's own member. */
 inline bool FindJsonMember(const std::string& content,
                            const std::string& key,
                            std::size_t* member_begin,
                            std::size_t* value_begin,
                            std::size_t* value_end)
 {
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t at = content.find(quoted);
-    if (at == std::string::npos) {
-        return false;
-    }
-    const std::size_t open = content.find('{', at + quoted.size());
-    if (open == std::string::npos) {
-        return false;
-    }
-    std::size_t end = open;
     int depth = 0;
-    while (end < content.size()) {
-        if (content[end] == '{') {
+    for (std::size_t at = 0; at < content.size(); ++at) {
+        const char c = content[at];
+        if (c == '{' || c == '[') {
             ++depth;
-        } else if (content[end] == '}' && --depth == 0) {
-            ++end;
-            break;
-        }
-        ++end;
-    }
-    *member_begin = at;
-    *value_begin = open;
-    *value_end = end;
-    return true;
-}
-
-/** The member's `{...}` value text, or "" if absent. */
-inline std::string ExtractJsonMember(const std::string& content,
-                                     const std::string& key)
-{
-    std::size_t member = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &begin, &end)) {
-        return "";
-    }
-    return content.substr(begin, end - begin);
-}
-
-/** Erase the member plus its separating comma (the preceding one when
- * the member is last, the following one otherwise). */
-inline void RemoveJsonMember(std::string& content, const std::string& key)
-{
-    std::size_t member = 0;
-    std::size_t value = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &value, &end)) {
-        return;
-    }
-    std::size_t begin = member;
-    while (begin > 0 && (content[begin - 1] == ' ' ||
-                         content[begin - 1] == '\n' ||
-                         content[begin - 1] == '\t')) {
-        --begin;
-    }
-    bool ate_leading_comma = false;
-    if (begin > 0 && content[begin - 1] == ',') {
-        --begin;
-        ate_leading_comma = true;
-    }
-    if (!ate_leading_comma) {
-        while (end < content.size() &&
-               (content[end] == ' ' || content[end] == '\n')) {
-            ++end;
-        }
-        if (end < content.size() && content[end] == ',') {
-            ++end;
+        } else if (c == '}' || c == ']') {
+            --depth;
+        } else if (c == '"') {
+            const std::size_t close = content.find('"', at + 1);
+            if (close == std::string::npos) {
+                return false;
+            }
+            const std::size_t colon =
+                content.find_first_not_of(" \t\n", close + 1);
+            if (depth == 1 && colon != std::string::npos &&
+                content[colon] == ':' && close - at - 1 == key.size() &&
+                content.compare(at + 1, key.size(), key) == 0) {
+                const std::size_t begin =
+                    content.find_first_not_of(" \t\n", colon + 1);
+                if (begin == std::string::npos) {
+                    return false;
+                }
+                const std::size_t end = JsonValueEnd(content, begin);
+                if (end == std::string::npos) {
+                    return false;
+                }
+                *member_begin = at;
+                *value_begin = begin;
+                *value_end = end;
+                return true;
+            }
+            at = close;
         }
     }
-    content.erase(begin, end - begin);
+    return false;
 }
 
-/** Replace an existing member's `{...}` value in place, keeping the
- * member's position in the file — repeated merges by different
- * writers must not shuffle record order, or every bench run produces
- * a noisy whole-file diff. Returns false when the key is absent (the
- * caller appends instead). */
-inline bool ReplaceJsonMember(std::string& content, const std::string& key,
-                              const std::string& section)
+/** Set the root member `key` to the JSON text `value`: replaced in
+ * place when it exists (stable member order keeps re-runs to
+ * value-only diffs), appended otherwise. An empty `content` starts a
+ * new object. Returns false when `content` is not a JSON object. */
+inline bool SetJsonMember(std::string& content, const std::string& key,
+                          const std::string& value)
 {
-    std::size_t member = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &begin, &end)) {
-        return false;
-    }
-    content.replace(begin, end - begin, section);
-    return true;
-}
-
-/** Merge `"key": {...section...}` into the JSON object file at
- * `path`, replacing the member in place when it exists (stable member
- * order keeps re-runs to value-only diffs) and appending it
- * otherwise. Creates the file when absent. Returns 0 on success. */
-inline int MergeIntoJson(const std::string& path, const std::string& key,
-                         const std::string& section)
-{
-    std::string content = ReadFileOrEmpty(path);
     if (content.empty()) {
         content = "{\n}\n";
     }
-    if (ReplaceJsonMember(content, key, section)) {
-        std::ofstream out(path, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return 1;
-        }
-        out << content;
-        return 0;
+    std::size_t member = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    if (FindJsonMember(content, key, &member, &begin, &end)) {
+        content.replace(begin, end - begin, value);
+        return true;
     }
-    std::size_t close = content.rfind('}');
+    const std::size_t close = content.rfind('}');
     if (close == std::string::npos) {
-        std::fprintf(stderr, "%s is not a JSON object\n", path.c_str());
-        return 1;
+        return false;
     }
     std::size_t tail = close;
     while (tail > 0 && (content[tail - 1] == ' ' ||
@@ -181,8 +158,14 @@ inline int MergeIntoJson(const std::string& path, const std::string& key,
     const bool has_members = content.find('"') < tail;
     content.erase(tail);
     content += has_members ? ",\n" : "\n";
-    content += "  \"" + key + "\": " + section + "\n}\n";
+    content += "  \"" + key + "\": " + value + "\n}\n";
+    return true;
+}
 
+/** Write `content` to `path`, replacing the file. Returns 0 on
+ * success. */
+inline int WriteJsonFile(const std::string& path, const std::string& content)
+{
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -190,6 +173,20 @@ inline int MergeIntoJson(const std::string& path, const std::string& key,
     }
     out << content;
     return 0;
+}
+
+/** Merge `"key": {...section...}` into the JSON object file at
+ * `path` (see SetJsonMember). Creates the file when absent. Returns
+ * 0 on success. */
+inline int MergeIntoJson(const std::string& path, const std::string& key,
+                         const std::string& section)
+{
+    std::string content = ReadFileOrEmpty(path);
+    if (!SetJsonMember(content, key, section)) {
+        std::fprintf(stderr, "%s is not a JSON object\n", path.c_str());
+        return 1;
+    }
+    return WriteJsonFile(path, content);
 }
 
 /** The host's thread count as every bench section records it —
@@ -201,24 +198,32 @@ inline unsigned HardwareConcurrency()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
+/** The APO_JOBS thread-count override, or 0 when it is unset. A set
+ * but non-numeric/zero APO_JOBS reads as 0, exactly as the engine
+ * ignores it. */
+inline unsigned long ApoJobsOverride()
+{
+    const char* jobs = std::getenv("APO_JOBS");
+    if (jobs == nullptr) {
+        return 0;
+    }
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(jobs, &end, 10);
+    return end != jobs && *end == '\0' ? value : 0;
+}
+
 /** The host-pinning JSON fragment every bench section embeds next to
  * its wall-clock metrics: `"hardware_concurrency": N`, plus
- * `"apo_jobs": J` when the APO_JOBS thread-count override is set to
- * a positive number — a record produced under an override is only
- * comparable to records produced under the same one, so the override
- * is pinned in the record rather than silently shaping it. (A set
- * but non-numeric/zero APO_JOBS is ignored here exactly as the
- * engine ignores it.) No trailing comma. */
+ * `"apo_jobs": J` when the APO_JOBS override is set — a record
+ * produced under an override is only comparable to records produced
+ * under the same one, so the override is pinned in the record rather
+ * than silently shaping it. No trailing comma. */
 inline std::string ConcurrencyJson()
 {
     std::string out = "\"hardware_concurrency\": " +
                       std::to_string(HardwareConcurrency());
-    if (const char* jobs = std::getenv("APO_JOBS")) {
-        char* end = nullptr;
-        const unsigned long value = std::strtoul(jobs, &end, 10);
-        if (end != jobs && *end == '\0' && value > 0) {
-            out += ", \"apo_jobs\": " + std::to_string(value);
-        }
+    if (const unsigned long jobs = ApoJobsOverride(); jobs > 0) {
+        out += ", \"apo_jobs\": " + std::to_string(jobs);
     }
     return out;
 }

@@ -11,8 +11,7 @@
  * drives TraceFinder::Observe on a mining-heavy configuration with
  * the per-job work discarded, isolating what the application thread
  * pays per token: with zero-copy snapshots that is O(slice/block)
- * reference bumps per job; with the copy_slices_at_launch ablation it
- * is the seed's O(slice) token copy. The result is recorded to
+ * reference bumps per job. The result is recorded to
  * BENCH_micro_repeats.json so successive PRs keep a perf trajectory.
  *
  * Usage:
@@ -29,12 +28,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/frontend.h"
 #include "api/launch.h"
 #include "bench_util.h"
 #include "core/finder.h"
+#include "core/history.h"
 #include "core/steady_miner.h"
 #include "runtime/oplog.h"
 #include "sim/cluster.h"
@@ -116,7 +117,7 @@ BENCHMARK(BM_QuadraticBaseline)->RangeMultiplier(2)->Range(512, 4096);
 // Finder launch-path throughput (the zero-copy claim).
 
 /** Drops every job: the measurement sees only the application-thread
- * half of a launch (history append, snapshot or slice copy). */
+ * half of a launch (history append and block snapshot). */
 class DiscardExecutor final : public support::Executor {
   public:
     using Executor::Submit;
@@ -141,14 +142,12 @@ struct LaunchPathResult {
     std::uint64_t tokens_analyzed = 0;
 };
 
-LaunchPathResult MeasureLaunchPath(bool copy_slices, std::size_t tokens,
-                                   int reps)
+LaunchPathResult MeasureLaunchPath(std::size_t tokens, int reps)
 {
     const strings::Sequence stream = AppLikeStream(tokens);
     LaunchPathResult best;
     for (int rep = 0; rep < reps; ++rep) {
-        core::ApopheniaConfig config = MiningHeavyConfig();
-        config.copy_slices_at_launch = copy_slices;
+        const core::ApopheniaConfig config = MiningHeavyConfig();
         DiscardExecutor executor;
         core::TraceFinder finder(config, executor);
         const auto start = std::chrono::steady_clock::now();
@@ -598,10 +597,15 @@ double MeasureProbeAllocs()
     config.batchsize = 4096;
     config.multi_scale_factor = 64;
     core::SteadyStateMiner miner(config);
-    std::vector<rt::TokenHash> window(4096);
+    constexpr std::size_t kWindow = 4096;
+    std::vector<rt::TokenHash> window(kWindow);
+    core::HistoryRing ring(kWindow, /*block_size=*/1024);
     for (std::size_t i = 0; i < window.size(); ++i) {
         window[i] = i % 64;
+        ring.Append(window[i]);
     }
+    core::HistorySnapshot snapshot;
+    ring.SnapshotLastN(kWindow, snapshot);
     core::MiningPath path = core::MiningPath::kNone;
     miner.Mine(window, &path);  // seed the ring
 
@@ -609,7 +613,7 @@ double MeasureProbeAllocs()
     std::shared_ptr<const std::vector<core::CandidateTrace>> hit;
     const std::uint64_t before = apo::support::AllocationCount();
     for (std::uint64_t i = 0; i < kProbes; ++i) {
-        hit = miner.Probe(std::span<const rt::TokenHash>(window));
+        hit = miner.Probe(snapshot);
     }
     const std::uint64_t allocs = apo::support::AllocationCount() - before;
     if (hit == nullptr) {
@@ -675,27 +679,27 @@ SteadyMiningRecord RunSteadyMiningRecord()
     return record;
 }
 
+/** printf into a std::string (the JSON section texts). */
+template <typename... Args>
+std::string Format(const char* format, Args... args)
+{
+    const int size = std::snprintf(nullptr, 0, format, args...);
+    std::string out(static_cast<std::size_t>(size), '\0');
+    std::snprintf(out.data(), out.size() + 1, format, args...);
+    return out;
+}
+
 int RunLaunchPathRecord(const std::string& json_path)
 {
     constexpr std::size_t kTokens = 1u << 19;
     constexpr int kReps = 5;
-    const LaunchPathResult snapshot =
-        MeasureLaunchPath(/*copy_slices=*/false, kTokens, kReps);
-    const LaunchPathResult copy =
-        MeasureLaunchPath(/*copy_slices=*/true, kTokens, kReps);
-    const double improvement =
-        copy.tokens_per_sec > 0.0
-            ? snapshot.tokens_per_sec / copy.tokens_per_sec
-            : 0.0;
+    const LaunchPathResult snapshot = MeasureLaunchPath(kTokens, kReps);
 
     std::printf("# finder launch path (mining-heavy: batchsize 4096, "
                 "scale 32, %zu tokens)\n",
                 kTokens);
     std::printf("%-22s %14.0f tokens/sec\n", "zero-copy snapshots",
                 snapshot.tokens_per_sec);
-    std::printf("%-22s %14.0f tokens/sec\n", "copy-at-launch (seed)",
-                copy.tokens_per_sec);
-    std::printf("%-22s %14.2fx\n", "improvement", improvement);
     std::printf("%-22s %14llu jobs, %llu tokens analyzed\n", "workload",
                 static_cast<unsigned long long>(snapshot.jobs_launched),
                 static_cast<unsigned long long>(snapshot.tokens_analyzed));
@@ -705,87 +709,85 @@ int RunLaunchPathRecord(const std::string& json_path)
     const DigestRecord stream_digest = RunDigestRecord();
     const SteadyMiningRecord steady = RunSteadyMiningRecord();
 
-    // This bench rewrites its own records wholesale; carry other
-    // writers' sections (fig_replication_scaling's merges) across.
-    const std::string existing =
-        apo::bench::ReadFileOrEmpty(json_path);
-    std::string preserved_member;
-    for (const char* key :
-         {"replication_scaling", "cluster_parallel", "fig_multitenant"}) {
-        const std::string preserved =
-            apo::bench::ExtractJsonMember(existing, key);
-        if (!preserved.empty()) {
-            preserved_member +=
-                ",\n  \"" + std::string(key) + "\": " + preserved;
+    // Set this bench's own root members in place; every other writer's
+    // section in the file stays untouched.
+    std::vector<std::pair<std::string, std::string>> members = {
+        {"bench", "\"micro_repeats/finder_launch_path\""},
+        {"config",
+         Format("{\"batchsize\": 4096, \"multi_scale_factor\": 32,"
+                " \"min_trace_length\": 8, \"tokens\": %zu}",
+                kTokens)},
+        {"hardware_concurrency",
+         std::to_string(apo::bench::HardwareConcurrency())},
+        {"snapshot_tokens_per_sec",
+         Format("%.0f", snapshot.tokens_per_sec)},
+        {"jobs_launched", std::to_string(snapshot.jobs_launched)},
+        {"tokens_analyzed", std::to_string(snapshot.tokens_analyzed)},
+        {"issue_path",
+         Format("{\n"
+                "    \"builder_launches_per_sec\": %.0f,\n"
+                "    \"vector_copy_launches_per_sec\": %.0f,\n"
+                "    \"improvement\": %.3f,\n"
+                "    \"builder_allocs_per_launch\": %.3f,\n"
+                "    \"vector_copy_allocs_per_launch\": %.3f\n"
+                "  }",
+                issue.builder.launches_per_sec,
+                issue.vector_copy.launches_per_sec, issue.improvement,
+                issue.builder.allocs_per_launch,
+                issue.vector_copy.allocs_per_launch)},
+        {"oplog_append",
+         Format("{\n"
+                "    \"arena_appends_per_sec\": %.0f,\n"
+                "    \"aos_appends_per_sec\": %.0f,\n"
+                "    \"improvement\": %.3f,\n"
+                "    \"arena_allocs_per_launch\": %.3f,\n"
+                "    \"aos_allocs_per_launch\": %.3f\n"
+                "  }",
+                oplog.arena.launches_per_sec, oplog.aos.launches_per_sec,
+                oplog.improvement, oplog.arena.allocs_per_launch,
+                oplog.aos.allocs_per_launch)},
+        {"stream_digest",
+         Format("{\n"
+                "    \"consumes_per_sec\": %.0f,\n"
+                "    \"allocs_per_consume\": %.3f\n"
+                "  }",
+                stream_digest.digest.launches_per_sec,
+                stream_digest.digest.allocs_per_launch)},
+        {"steady_state_mining",
+         Format("{\n"
+                "    %s,\n"
+                "    \"incremental_tokens_per_sec\": %.0f,\n"
+                "    \"from_scratch_tokens_per_sec\": %.0f,\n"
+                "    \"speedup\": %.3f,\n"
+                "    \"fast_path_hit_rate\": %.3f,\n"
+                "    \"allocs_per_window\": %.3f,\n"
+                "    \"windows\": %llu,\n"
+                "    \"candidate_sets_identical\": %s\n"
+                "  }",
+                apo::bench::ConcurrencyJson().c_str(),
+                steady.incremental.tokens_per_sec,
+                steady.scratch.tokens_per_sec, steady.speedup,
+                steady.incremental.fast_path_hit_rate,
+                steady.allocs_per_window,
+                static_cast<unsigned long long>(steady.incremental.windows),
+                steady.identical ? "true" : "false")},
+    };
+    // The root's host pin, as ConcurrencyJson() writes it in a section.
+    if (const unsigned long jobs = apo::bench::ApoJobsOverride(); jobs > 0) {
+        members.insert(members.begin() + 3,
+                       {"apo_jobs", std::to_string(jobs)});
+    }
+    std::string content = apo::bench::ReadFileOrEmpty(json_path);
+    for (const auto& [key, value] : members) {
+        if (!apo::bench::SetJsonMember(content, key, value)) {
+            std::fprintf(stderr, "%s is not a JSON object\n",
+                         json_path.c_str());
+            return 1;
         }
     }
-
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    if (apo::bench::WriteJsonFile(json_path, content) != 0) {
         return 1;
     }
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"bench\": \"micro_repeats/finder_launch_path\",\n"
-        "  \"config\": {\"batchsize\": 4096, \"multi_scale_factor\": 32,"
-        " \"min_trace_length\": 8, \"tokens\": %zu},\n"
-        "  %s,\n"
-        "  \"snapshot_tokens_per_sec\": %.0f,\n"
-        "  \"copy_at_launch_tokens_per_sec\": %.0f,\n"
-        "  \"improvement\": %.3f,\n"
-        "  \"jobs_launched\": %llu,\n"
-        "  \"tokens_analyzed\": %llu,\n"
-        "  \"issue_path\": {\n"
-        "    \"builder_launches_per_sec\": %.0f,\n"
-        "    \"vector_copy_launches_per_sec\": %.0f,\n"
-        "    \"improvement\": %.3f,\n"
-        "    \"builder_allocs_per_launch\": %.3f,\n"
-        "    \"vector_copy_allocs_per_launch\": %.3f\n"
-        "  },\n"
-        "  \"oplog_append\": {\n"
-        "    \"arena_appends_per_sec\": %.0f,\n"
-        "    \"aos_appends_per_sec\": %.0f,\n"
-        "    \"improvement\": %.3f,\n"
-        "    \"arena_allocs_per_launch\": %.3f,\n"
-        "    \"aos_allocs_per_launch\": %.3f\n"
-        "  },\n"
-        "  \"stream_digest\": {\n"
-        "    \"consumes_per_sec\": %.0f,\n"
-        "    \"allocs_per_consume\": %.3f\n"
-        "  },\n"
-        "  \"steady_state_mining\": {\n"
-        "    %s,\n"
-        "    \"incremental_tokens_per_sec\": %.0f,\n"
-        "    \"from_scratch_tokens_per_sec\": %.0f,\n"
-        "    \"speedup\": %.3f,\n"
-        "    \"fast_path_hit_rate\": %.3f,\n"
-        "    \"allocs_per_window\": %.3f,\n"
-        "    \"windows\": %llu,\n"
-        "    \"candidate_sets_identical\": %s\n"
-        "  }%s\n"
-        "}\n",
-        kTokens, apo::bench::ConcurrencyJson().c_str(),
-        snapshot.tokens_per_sec, copy.tokens_per_sec, improvement,
-        static_cast<unsigned long long>(snapshot.jobs_launched),
-        static_cast<unsigned long long>(snapshot.tokens_analyzed),
-        issue.builder.launches_per_sec,
-        issue.vector_copy.launches_per_sec, issue.improvement,
-        issue.builder.allocs_per_launch,
-        issue.vector_copy.allocs_per_launch,
-        oplog.arena.launches_per_sec, oplog.aos.launches_per_sec,
-        oplog.improvement, oplog.arena.allocs_per_launch,
-        oplog.aos.allocs_per_launch,
-        stream_digest.digest.launches_per_sec,
-        stream_digest.digest.allocs_per_launch,
-        apo::bench::ConcurrencyJson().c_str(),
-        steady.incremental.tokens_per_sec,
-        steady.scratch.tokens_per_sec, steady.speedup,
-        steady.incremental.fast_path_hit_rate, steady.allocs_per_window,
-        static_cast<unsigned long long>(steady.incremental.windows),
-        steady.identical ? "true" : "false", preserved_member.c_str());
-    std::fclose(out);
     std::printf("wrote %s\n", json_path.c_str());
     // The equality assert: the record is only acceptable when the
     // engine's candidate sets match from-scratch mining bit for bit

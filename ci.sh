@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, an ASan+UBSan pass of the whole
-# suite, a TSan pass of the threaded/stacked suites, and the perf records
+# CI entry point: tier-1 build + tests, the repository benchmark's
+# build and self-tests, an ASan+UBSan pass of the whole suite, a TSan
+# pass of the threaded/stacked suites, and the perf records
 # (BENCH_micro_repeats.json, committed so successive PRs keep a
 # tokens/sec + scaling trajectory).
 set -euo pipefail
@@ -12,6 +13,11 @@ echo "== tier-1: build + ctest (warnings are errors) =="
 cmake -B build -S . -DAPO_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== benchmark: build e2ebench against this src/ + its own tests =="
+# The repository benchmark compiles src/ as a package of its own (into
+# .bench_build), so an API change in src/ that breaks it fails here.
+python3 e2ebench/run.py --selftest
 
 echo "== sanitizers: ASan + UBSan build + ctest =="
 cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -38,11 +44,16 @@ APO_JOBS=8 ctest --test-dir build-tsan -R '^(support_executor_stress_test|sim_cl
 echo "== perf record: finder launch path + frontend issue path + digest =="
 # Snapshot the committed record before the benches overwrite it: the
 # regression gate below compares the fresh run against this baseline.
+# The working record then starts empty, so every section in it was
+# written by this run: a bench that stops writing its section leaves
+# it missing (caught by the checks below) instead of keeping the old
+# one, and members no bench writes any more drop out.
 BENCH_BASELINE=""
 if [ -f BENCH_micro_repeats.json ]; then
     BENCH_BASELINE=build/BENCH_baseline.json
     cp BENCH_micro_repeats.json "$BENCH_BASELINE"
 fi
+echo '{}' > BENCH_micro_repeats.json
 if [ -x build/micro_repeats ]; then
     ./build/micro_repeats --json=BENCH_micro_repeats.json
 elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then

@@ -79,9 +79,8 @@ struct AnalysisJob {
     std::uint64_t issued_at = 0;
     /** Number of tokens analyzed. */
     std::size_t slice_length = 0;
-    /** Zero-copy view of the analyzed slice (empty if the slice was
-     * materialized at launch; see
-     * ApopheniaConfig::copy_slices_at_launch). */
+    /** Zero-copy view of the analyzed slice (the history blocks it
+     * spans); the worker materializes it into `slice` only to mine. */
     HistorySnapshot snapshot;
     /** Worker-side materialization buffer, reused across jobs. */
     std::vector<rt::TokenHash> slice;

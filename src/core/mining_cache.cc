@@ -100,25 +100,6 @@ MiningCache::AcquireOrBegin(const Key& key, const HistorySnapshot& snapshot,
     });
 }
 
-MiningCache::Claim
-MiningCache::AcquireOrBegin(const Key& key,
-                            std::span<const rt::TokenHash> slice,
-                            rt::TokenHash name_space)
-{
-    return Probe(key, name_space, [&](const Entry& entry) {
-        if (entry.window.size() != slice.size()) {
-            return false;
-        }
-        for (std::size_t i = 0; i < slice.size(); ++i) {
-            if (rt::FoldNamespace(name_space, slice[i]) !=
-                entry.window[i]) {
-                return false;
-            }
-        }
-        return true;
-    });
-}
-
 std::vector<CandidateTrace>
 MiningCache::Rekey(const std::vector<CandidateTrace>& candidates,
                    rt::TokenHash name_space)

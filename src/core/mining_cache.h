@@ -141,9 +141,6 @@ class MiningCache {
      */
     Claim AcquireOrBegin(const Key& key, const HistorySnapshot& snapshot,
                          rt::TokenHash name_space = 0);
-    Claim AcquireOrBegin(const Key& key,
-                         std::span<const rt::TokenHash> slice,
-                         rt::TokenHash name_space = 0);
 
     /** Publish the mining result for a key this caller began; stores
      * the window and candidates in namespace-relative form (for hit

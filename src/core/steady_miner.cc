@@ -57,18 +57,6 @@ SteadyStateMiner::Probe(const HistorySnapshot& snapshot)
     });
 }
 
-std::shared_ptr<const std::vector<CandidateTrace>>
-SteadyStateMiner::Probe(std::span<const rt::TokenHash> slice)
-{
-    const MiningCache::Key key = MiningCache::KeyOf(slice);
-    std::lock_guard lock(mutex_);
-    ++stats_.probes;
-    return ProbeLocked(key.hash, key.length, [&](const Entry& entry) {
-        return strings::CommonPrefixLength(slice.data(), entry.window.data(),
-                                           slice.size()) == slice.size();
-    });
-}
-
 SteadyStateMiner::Entry&
 SteadyStateMiner::SlotFor(std::size_t length)
 {

@@ -74,8 +74,6 @@ class SteadyStateMiner {
      */
     std::shared_ptr<const std::vector<CandidateTrace>> Probe(
         const HistorySnapshot& snapshot);
-    std::shared_ptr<const std::vector<CandidateTrace>> Probe(
-        std::span<const rt::TokenHash> slice);
 
     /**
      * Mine `slice` through the incremental tiers (bit-identical to

@@ -87,7 +87,6 @@ Cluster::Cluster(const ClusterOptions& options)
     // there is more than one node to share across and tracing is on
     // (a disabled front-end is a pass-through either way).
     const bool shared = options_.shared_decisions &&
-                        options_.config.shared_decisions &&
                         options_.config.enabled && n_nodes > 1;
     // Fault tolerance rides on the shared engine: the decision tail a
     // rejoiner replays IS the broadcast log.
@@ -112,9 +111,8 @@ Cluster::Cluster(const ClusterOptions& options)
     resync_enabled_ = shared && (!options_.fault_plan.events.empty() ||
                                  options_.fault.enabled ||
                                  options_.checkpoint_interval_tasks > 0);
-    checkpoints_enabled_ = shared &&
-                           options_.checkpoint_interval_tasks > 0 &&
-                           options_.config.checkpoints;
+    checkpoints_enabled_ =
+        shared && options_.checkpoint_interval_tasks > 0;
     if (shared) {
         engine_ = std::make_unique<core::DecisionEngine>(
             options_.config, options_.runtime_options,

@@ -71,9 +71,9 @@
  * **Shared decision engine.** The mining cache still left trie
  * matching, candidate ingestion and replay decisions paid N times on
  * byte-identical streams. With `ClusterOptions::shared_decisions`
- * (default on; `-lg:auto_trace:no_shared_decisions` or per-node-mode
- * tests disable), the cluster hosts no per-node Apophenia at all:
- * one `core::DecisionEngine` consumes the issued stream exactly once
+ * (default on; per-node-mode tests and benches turn it off), the
+ * cluster hosts no per-node Apophenia at all: one
+ * `core::DecisionEngine` consumes the issued stream exactly once
  * on the driving thread and broadcasts POD decision events — riding
  * the same safe-horizon batches — which the team fan-out merely
  * *applies* to each node's runtime. Total decision cost becomes O(1)
@@ -277,9 +277,9 @@ struct ClusterOptions {
     /** Use the shared decision engine (see file comment): one decider
      * consumes the stream once and the nodes apply its broadcast
      * decisions, with per-barrier digest checks. Active only when
-     * tracing is enabled, config.shared_decisions is true, and the
-     * cluster has more than one node; otherwise (or when false) every
-     * node hosts its own Apophenia. Bit-identical either way. */
+     * tracing is enabled and the cluster has more than one node;
+     * otherwise (or when false) every node hosts its own Apophenia.
+     * Bit-identical either way. */
     bool shared_decisions = true;
     /** Mining memo for the decider's finder in place of (or, in
      * per-node mode, instead of) the cluster-internal cache — the
@@ -329,9 +329,7 @@ struct ClusterOptions {
      * image + stream digest, via fault::CheckpointWriter) every this
      * many issued tasks; 0 = never. Rejoining nodes install the
      * newest image; the decision tail retained since it covers the
-     * rest. Requires the shared decision engine. Disabled cluster-
-     * wide by ApopheniaConfig::checkpoints == false (the
-     * `-lg:auto_trace:no_checkpoints` escape hatch) — rejoiners then
+     * rest. Requires the shared decision engine. With 0, rejoiners
      * replay the full decision tail from stream start. */
     std::uint64_t checkpoint_interval_tasks = 0;
 

@@ -83,16 +83,12 @@ class InlineExecutor final : public Executor {
  * queue. Models Legion's background worker threads that Apophenia's
  * history-mining jobs execute on (paper section 6.3).
  *
- * Submission is optionally bounded: with `max_queue > 0`, Submit()
- * blocks while `max_queue` jobs are already waiting, providing
- * backpressure so a producer outrunning the pool cannot hoard memory.
- * A submitter blocked when the pool shuts down is released and runs
- * its job on its own thread, so no accepted job is ever dropped.
+ * The queue is unbounded, so Submit() never blocks. The destructor
+ * runs every job still queued before it returns.
  */
 class WorkerPool final : public Executor {
   public:
-    explicit WorkerPool(std::size_t num_threads = 2,
-                        std::size_t max_queue = 0);
+    explicit WorkerPool(std::size_t num_threads = 2);
     ~WorkerPool() override;
 
     WorkerPool(const WorkerPool&) = delete;
@@ -103,15 +99,6 @@ class WorkerPool final : public Executor {
     void Drain() override;
 
     std::size_t NumThreads() const { return threads_.size(); }
-    std::size_t MaxQueue() const { return max_queue_; }
-
-    /** Submitters currently blocked on backpressure (tests use this
-     * to synchronize with a Submit they expect to block). */
-    std::size_t BlockedSubmitters()
-    {
-        std::lock_guard lock(mutex_);
-        return waiting_submitters_;
-    }
 
   private:
     void WorkerLoop();
@@ -119,13 +106,8 @@ class WorkerPool final : public Executor {
     std::mutex mutex_;
     std::condition_variable work_available_;
     std::condition_variable idle_;
-    std::condition_variable space_available_;
     std::deque<std::function<void()>> queue_;
     std::size_t in_flight_ = 0;
-    std::size_t max_queue_ = 0;  ///< 0 = unbounded
-    /** Submitters blocked on backpressure; the destructor waits for
-     * them to leave before tearing down the synchronization state. */
-    std::size_t waiting_submitters_ = 0;
     bool shutting_down_ = false;
     std::vector<std::thread> threads_;
 };
@@ -142,8 +124,7 @@ class WorkerPool final : public Executor {
  */
 class PooledExecutor final : public Executor {
   public:
-    explicit PooledExecutor(std::size_t num_threads = 2,
-                            std::size_t max_queue = 0);
+    explicit PooledExecutor(std::size_t num_threads = 2);
     ~PooledExecutor() override;
 
     PooledExecutor(const PooledExecutor&) = delete;

@@ -607,10 +607,6 @@ TraceService::Run()
         tenant->arrival_base = clock;
     }
 
-    // The escape hatch turns every overload action off: every policy
-    // behaves like kBlock, no watchdog, no health monitor.
-    const bool overload_on = options_.config.overload_control;
-
     std::vector<std::size_t> ready;
     for (;;) {
         ready.clear();
@@ -618,9 +614,7 @@ TraceService::Run()
             std::numeric_limits<std::uint64_t>::max();
         for (std::size_t t = 0; t < tenants_.size(); ++t) {
             Tenant& tenant = *tenants_[t];
-            if (overload_on) {
-                ApplyOverloadControl(tenant, clock);
-            }
+            ApplyOverloadControl(tenant, clock);
             if (tenant.Finished()) {
                 continue;
             }
@@ -686,9 +680,7 @@ TraceService::Run()
             // harness's final Flush.
             tenant.session->Flush();
         }
-        if (overload_on) {
-            RunWatchdogAndHealth(clock);
-        }
+        RunWatchdogAndHealth(clock);
     }
     return AssembleResults(clock);
 }

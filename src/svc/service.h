@@ -78,10 +78,9 @@ class ServiceUsageError : public rt::RuntimeUsageError {
  * granted open-loop iterations) exceeds TenantOptions::
  * max_queue_iterations. Tracing is an optimization, so under overload
  * the service can trade trace quality for liveness instead of
- * queueing without bound. Subject to the
- * `-lg:auto_trace:no_overload_control` escape hatch
- * (core::ApopheniaConfig::overload_control == false ⇒ every policy
- * behaves like kBlock and no health-monitor action fires).
+ * queueing without bound. kBlock with ServiceOptions::
+ * memory_high_watermark_bytes and analysis_timeout_tasks at 0 (the
+ * defaults) takes no overload action at all.
  */
 enum class OverloadPolicy : std::uint8_t {
     /** Closed-loop backpressure (the pre-overload behaviour): excess
@@ -133,9 +132,7 @@ struct TenantOptions {
     std::optional<rt::TokenHash> name_space;
     /** Replicated tenants only: arm periodic cluster checkpoints of
      * the tenant's replication stack every this many issued tasks
-     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never).
-     * Subject to the `-lg:auto_trace:no_checkpoints` escape hatch in
-     * ServiceOptions::config. */
+     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never). */
     std::uint64_t checkpoint_interval_tasks = 0;
 
     // -- Overload control ---------------------------------------------------
@@ -389,8 +386,7 @@ struct TenantStats {
 };
 
 /** Service-level health-monitor accounting of one run (all zero with
- * monitoring off — no watermark, no watchdog, or the
- * `-lg:auto_trace:no_overload_control` escape hatch). */
+ * monitoring off — no watermark and no watchdog). */
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;

@@ -3,9 +3,10 @@
  * The bench_compare CI gate, unit-tested: the tool that fails a PR on
  * a perf regression must itself be pinned — direction typing (which
  * way is "worse" for each metric family), the exact >10% threshold
- * boundary, the flattening JSON reader, and the --require contract
- * (a bench that stops emitting its record fails CI, exit 2, which the
- * waiver env var never excuses).
+ * boundary, the flattening JSON reader (rows keyed by identity, not
+ * array position), and the --require contract (a bench that stops
+ * emitting its record fails CI, exit 2, which the waiver env var never
+ * excuses).
  */
 #include <gtest/gtest.h>
 
@@ -108,6 +109,39 @@ TEST(FlatJsonParser, FlattensNestedObjectsAndArrays)
     EXPECT_EQ(values.at("negative"), -150.0);
 }
 
+TEST(FlatJsonParser, KeysRowsByIdentityFields)
+{
+    const std::string text = R"({
+      "cluster_parallel": {"rows": [
+        {"jobs": 1, "mining_cache": false, "wall_ms": 7, "hit_rate": 0},
+        {"jobs": 4, "mining_cache": true, "wall_ms": 3, "hit_rate": 0.75},
+        {"jobs": 4, "mining_cache": true, "wall_ms": 2, "hit_rate": 0.5}
+      ]},
+      "fig_overload": {"rows": [{"load": 0.5, "policy": "shed", "x": 1}]},
+      "other": {"series": [{"jobs": 2, "x": 3}]}
+    })";
+    const std::map<std::string, double> values =
+        FlatJsonParser(text).Parse();
+    // Measurements (wall_ms) never enter the identity; a repeated
+    // identity gets an occurrence suffix.
+    EXPECT_EQ(values.at(
+                  "cluster_parallel.rows[jobs=1,mining_cache=false].hit_rate"),
+              0.0);
+    EXPECT_EQ(values.at(
+                  "cluster_parallel.rows[jobs=4,mining_cache=true].hit_rate"),
+              0.75);
+    EXPECT_EQ(values.at("cluster_parallel.rows[jobs=4,mining_cache=true]#1"
+                        ".hit_rate"),
+              0.5);
+    EXPECT_EQ(values.at(
+                  "cluster_parallel.rows[jobs=4,mining_cache=true].jobs"),
+              4.0);
+    // String identities are unquoted; identity fields sort by name.
+    EXPECT_EQ(values.at("fig_overload.rows[load=0.5,policy=shed].x"), 1.0);
+    // Only `rows` arrays are keyed.
+    EXPECT_EQ(values.at("other.series.0.x"), 3.0);
+}
+
 TEST(FlatJsonParser, RejectsMalformedInput)
 {
     EXPECT_THROW(FlatJsonParser(R"({"a": })").Parse(),
@@ -133,13 +167,22 @@ class BenchCompareTool : public ::testing::Test {
         return path;
     }
 
+    /** Runs the tool; its printed report lands in `output`. */
     int Run(const CompareOptions& options)
     {
         std::FILE* sink = std::tmpfile();
         const int code = RunBenchCompare(options, sink, sink);
+        std::rewind(sink);
+        output.clear();
+        char buffer[256];
+        while (std::fgets(buffer, sizeof buffer, sink) != nullptr) {
+            output += buffer;
+        }
         std::fclose(sink);
         return code;
     }
+
+    std::string output;
 };
 
 TEST_F(BenchCompareTool, IdenticalRecordsPass)
@@ -176,6 +219,49 @@ TEST_F(BenchCompareTool, DroppedMetricIsReportedNotFatal)
     options.current_path =
         WriteRecord("cur_drop", R"({"m": {"tokens_per_sec": 100}})");
     EXPECT_EQ(Run(options), 0);
+}
+
+TEST_F(BenchCompareTool, ReorderedRowsCompareByIdentity)
+{
+    // The same two configurations written in the opposite order: by
+    // array index, rows.0.hit_rate would read 0.9 -> 0.1.
+    CompareOptions options;
+    options.baseline_path = WriteRecord(
+        "base_order",
+        R"({"s": {"rows": [{"jobs": 1, "hit_rate": 0.9},
+                           {"jobs": 4, "hit_rate": 0.1}]}})");
+    options.current_path = WriteRecord(
+        "cur_order",
+        R"({"s": {"rows": [{"jobs": 4, "hit_rate": 0.1},
+                           {"jobs": 1, "hit_rate": 0.9}]}})");
+    EXPECT_EQ(Run(options), 0);
+    EXPECT_EQ(output.find("REGRESSED"), std::string::npos) << output;
+}
+
+TEST_F(BenchCompareTool, RowOnOneHostOnlyIsDroppedNotRegressed)
+{
+    // The baseline host swept an extra jobs=8 row (its core count);
+    // the current host has no such row, so the rows after it shift.
+    // By index, rows.1.hit_rate would compare jobs=8 against jobs=1
+    // and regress 0.889 -> 0.5.
+    CompareOptions options;
+    options.baseline_path = WriteRecord(
+        "base_host",
+        R"({"s": {"rows": [
+              {"jobs": 1, "mining_cache": false, "hit_rate": 0.0},
+              {"jobs": 8, "mining_cache": true, "hit_rate": 0.889},
+              {"jobs": 1, "mining_cache": true, "hit_rate": 0.5}]}})");
+    options.current_path = WriteRecord(
+        "cur_host",
+        R"({"s": {"rows": [
+              {"jobs": 1, "mining_cache": false, "hit_rate": 0.0},
+              {"jobs": 1, "mining_cache": true, "hit_rate": 0.5}]}})");
+    EXPECT_EQ(Run(options), 0);
+    EXPECT_NE(output.find("[dropped]    s.rows[jobs=8,mining_cache=true]"
+                          ".hit_rate"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("REGRESSED"), std::string::npos) << output;
 }
 
 TEST_F(BenchCompareTool, RequiredRecordMissingIsExitTwo)

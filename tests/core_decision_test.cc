@@ -298,19 +298,22 @@ TEST(SharedDecisions, AccessorsEnforceTheMode)
     EXPECT_FALSE(untraced.SharedDecisions());
 }
 
-TEST(SharedDecisions, EscapeFlagDisablesTheEngine)
+TEST(SharedDecisions, ClusterOptionDecidesTheEngine)
 {
-    std::vector<std::string> args{"-lg:enable_automatic_tracing",
-                                  "-lg:auto_trace:no_shared_decisions"};
-    const core::ApopheniaConfig config = core::ParseApopheniaFlags(args);
-    EXPECT_TRUE(config.enabled);
-    EXPECT_FALSE(config.shared_decisions);
+    // A flag-parsed tracing config carries no engine switch: the
+    // choice is ClusterOptions::shared_decisions alone.
+    std::vector<std::string> args{"-lg:enable_automatic_tracing"};
+    ClusterOptions options = SmallClusterOptions(2);
+    options.config = core::ParseApopheniaFlags(args);
+    EXPECT_TRUE(options.config.enabled);
     EXPECT_TRUE(args.empty());
 
-    ClusterOptions options = SmallClusterOptions(2);
-    options.config = config;
-    Cluster fe(options);
-    EXPECT_FALSE(fe.SharedDecisions());
+    options.shared_decisions = false;
+    Cluster per_node(options);
+    EXPECT_FALSE(per_node.SharedDecisions());
+    options.shared_decisions = true;
+    Cluster shared(options);
+    EXPECT_TRUE(shared.SharedDecisions());
 }
 
 TEST(SharedDecisions, BroadcastMatchesPerNodeOnADrivenCluster)

@@ -33,6 +33,7 @@
 #include "core/history.h"
 #include "core/steady_miner.h"
 #include "sim/harness.h"
+#include "test_util.h"
 
 namespace apo {
 namespace {
@@ -78,7 +79,7 @@ TEST(SteadyStateMiner, MineMatchesMineSliceAndMemoizes)
 
     // The result was memoized: an identical window now probes hot, and
     // adoption shares the very same candidate set (no copy).
-    const auto hit = miner.Probe(std::span<const rt::TokenHash>(slice));
+    const auto hit = miner.Probe(test::SnapshotOf(slice));
     EXPECT_EQ(hit.get(), mined.get());
     // The ring learned the window's dominant period — the winning
     // (longest) repeat's occurrence spacing, a multiple of the
@@ -104,11 +105,11 @@ TEST(SteadyStateMiner, ProbeOnlyAdoptsVerifiedEqualWindows)
 
     std::vector<rt::TokenHash> other = slice;
     other.back() ^= 1;  // same length, different content
-    EXPECT_EQ(miner.Probe(std::span<const rt::TokenHash>(other)), nullptr);
+    EXPECT_EQ(miner.Probe(test::SnapshotOf(other)), nullptr);
     std::vector<rt::TokenHash> shorter(slice.begin(), slice.end() - 1);
-    EXPECT_EQ(miner.Probe(std::span<const rt::TokenHash>(shorter)),
+    EXPECT_EQ(miner.Probe(test::SnapshotOf(shorter)),
               nullptr);
-    EXPECT_NE(miner.Probe(std::span<const rt::TokenHash>(slice)), nullptr);
+    EXPECT_NE(miner.Probe(test::SnapshotOf(slice)), nullptr);
 }
 
 TEST(SteadyStateMiner, FastPathProbePerformsZeroAllocations)
@@ -124,8 +125,8 @@ TEST(SteadyStateMiner, FastPathProbePerformsZeroAllocations)
     // The contract is zero heap allocations per probed window — hits
     // AND misses (a miss must not allocate either; it falls through to
     // the mining tiers which own their scratch).
-    const std::span<const rt::TokenHash> hot(slice);
-    const std::span<const rt::TokenHash> miss(cold);
+    const core::HistorySnapshot hot = test::SnapshotOf(slice);
+    const core::HistorySnapshot miss = test::SnapshotOf(cold);
     std::shared_ptr<const std::vector<core::CandidateTrace>> last;
     bool all_hit = true;
     bool any_miss_hit = false;
@@ -186,7 +187,7 @@ TEST(SteadyStateMiner, MemoizeSeedsTheFastPathFromExternalResults)
     // A shared-cache adoption memoizes without mining locally; the
     // next identical window fast-paths straight to the adopted set.
     miner.Memoize(std::span<const rt::TokenHash>(slice), external);
-    const auto hit = miner.Probe(std::span<const rt::TokenHash>(slice));
+    const auto hit = miner.Probe(test::SnapshotOf(slice));
     EXPECT_EQ(hit.get(), external.get());
     const core::SteadyStateMiner::Stats stats = miner.Snapshot();
     EXPECT_EQ(stats.memoized, 1u);
@@ -208,13 +209,13 @@ TEST(SteadyStateMiner, RingHoldsOneSlotPerWindowShapeAndEvictsFifo)
     // Same shape as `a`: replaces a's slot rather than evicting.
     const std::vector<rt::TokenHash> a2 = PeriodicSlice(128, 4);
     miner.Mine(a2, &path);
-    EXPECT_EQ(miner.Probe(std::span<const rt::TokenHash>(b)) != nullptr,
+    EXPECT_EQ(miner.Probe(test::SnapshotOf(b)) != nullptr,
               true);
-    EXPECT_NE(miner.Probe(std::span<const rt::TokenHash>(a2)), nullptr);
-    EXPECT_EQ(miner.Probe(std::span<const rt::TokenHash>(a)), nullptr);
+    EXPECT_NE(miner.Probe(test::SnapshotOf(a2)), nullptr);
+    EXPECT_EQ(miner.Probe(test::SnapshotOf(a)), nullptr);
     // A third shape evicts the oldest slot (FIFO) at capacity 2.
     miner.Mine(c, &path);
-    EXPECT_NE(miner.Probe(std::span<const rt::TokenHash>(c)), nullptr);
+    EXPECT_NE(miner.Probe(test::SnapshotOf(c)), nullptr);
     EXPECT_EQ(miner.RingPeriods().size(), 2u);
 }
 

@@ -25,6 +25,7 @@
 #include "fault/checkpoint.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
+#include "test_util.h"
 
 namespace apo {
 namespace {
@@ -461,7 +462,7 @@ TEST(MiningCacheCheckpoint, PublishedWindowsRoundTrip)
     const core::MiningCache::Key key = core::MiningCache::KeyOf(
         std::span<const rt::TokenHash>(window));
     core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
+        key, test::SnapshotOf(window));
     ASSERT_TRUE(claim.miner);
     cache.Publish(key, std::span<const rt::TokenHash>(window),
                   {core::CandidateTrace{{11, 22, 33}, 2.0}});
@@ -476,7 +477,7 @@ TEST(MiningCacheCheckpoint, PublishedWindowsRoundTrip)
     EXPECT_EQ(restored.Size(), cache.Size());
     // A restored entry still serves hits, with identical contents.
     const core::MiningCache::Claim hit = restored.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
+        key, test::SnapshotOf(window));
     ASSERT_NE(hit.results, nullptr);
     EXPECT_FALSE(hit.miner);
     ASSERT_EQ(hit.results->size(), 1u);
@@ -495,7 +496,7 @@ TEST(MiningCacheCheckpoint, InProgressMinerBlocksSave)
     const core::MiningCache::Key key = core::MiningCache::KeyOf(
         std::span<const rt::TokenHash>(window));
     const core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
+        key, test::SnapshotOf(window));
     ASSERT_TRUE(claim.miner);  // un-published: the cache is not quiescent
     fault::CheckpointWriter writer;
     EXPECT_THROW(cache.SaveState(writer), fault::CheckpointError);
@@ -509,7 +510,7 @@ TEST(MiningCacheCheckpoint, LoadRequiresFreshCache)
     const core::MiningCache::Key key = core::MiningCache::KeyOf(
         std::span<const rt::TokenHash>(window));
     core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
+        key, test::SnapshotOf(window));
     ASSERT_TRUE(claim.miner);
     cache.Publish(key, std::span<const rt::TokenHash>(window),
                   {core::CandidateTrace{{1, 2, 3}, 2.0}});

@@ -35,6 +35,7 @@
 #include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
+#include "test_util.h"
 
 namespace apo::sim {
 namespace {
@@ -637,7 +638,7 @@ TEST(MiningCache, BoundedRetentionEvictsOldestAndStaysCorrect)
         const core::MiningCache::Key key =
             core::MiningCache::KeyOf(span_of(w));
         core::MiningCache::Claim claim =
-            cache.AcquireOrBegin(key, span_of(w));
+            cache.AcquireOrBegin(key, test::SnapshotOf(w));
         EXPECT_TRUE(claim.miner);
         return cache.Publish(key, span_of(w),
                              {core::CandidateTrace{w, 2.0}});
@@ -651,11 +652,11 @@ TEST(MiningCache, BoundedRetentionEvictsOldestAndStaysCorrect)
     EXPECT_EQ(a_results->front().tokens, a);
     // A retained window still hits; the evicted one is re-mined.
     const core::MiningCache::Claim hit = cache.AcquireOrBegin(
-        core::MiningCache::KeyOf(span_of(c)), span_of(c));
+        core::MiningCache::KeyOf(span_of(c)), test::SnapshotOf(c));
     ASSERT_NE(hit.results, nullptr);
     EXPECT_FALSE(hit.miner);
     const core::MiningCache::Claim remine = cache.AcquireOrBegin(
-        core::MiningCache::KeyOf(span_of(a)), span_of(a));
+        core::MiningCache::KeyOf(span_of(a)), test::SnapshotOf(a));
     EXPECT_EQ(remine.results, nullptr);
     EXPECT_TRUE(remine.miner);
     cache.Abandon(core::MiningCache::KeyOf(span_of(a)));
@@ -676,18 +677,18 @@ TEST(MiningCache, HashCollisionIsDetectedNotAdopted)
     const core::MiningCache::Key key = core::MiningCache::KeyOf(
         std::span<const rt::TokenHash>(original));
     core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(original));
+        key, test::SnapshotOf(original));
     ASSERT_TRUE(claim.miner);
     cache.Publish(key, std::span<const rt::TokenHash>(original),
                   {core::CandidateTrace{original, 2.0}});
 
     const core::MiningCache::Claim collided = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(impostor));
+        key, test::SnapshotOf(impostor));
     EXPECT_EQ(collided.results, nullptr) << "adopted a colliding window";
     EXPECT_FALSE(collided.miner) << "collision must not own the entry";
     // The original entry is untouched and still serves hits.
     const core::MiningCache::Claim hit = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(original));
+        key, test::SnapshotOf(original));
     ASSERT_NE(hit.results, nullptr);
     EXPECT_EQ(hit.results->front().tokens, original);
 }

@@ -15,8 +15,8 @@
  *    and is bit-safe: degraded tokens never reach the finder;
  *  - at sustainable load the overload machinery is inert — all three
  *    policies produce bit-identical per-tenant streams;
- *  - the `-lg:auto_trace:no_overload_control` escape hatch turns every
- *    policy back into kBlock and silences the health monitor;
+ *  - kBlock with no memory watermark and no analysis timeout (the
+ *    defaults) takes no overload action at all;
  *  - DeficitWeightedFairPolicy still converges granted shares to the
  *    weights when the mix holds a shedding and a degrading tenant at
  *    sustained saturation, with no starvation and bounded shed-tenant
@@ -51,6 +51,7 @@
 #include "svc/load_driver.h"
 #include "svc/service.h"
 #include "svc/workload.h"
+#include "test_util.h"
 
 namespace apo {
 namespace {
@@ -271,19 +272,20 @@ TEST(OverloadShed, BoundsBacklogAndDropsArrivals)
     EXPECT_EQ(stats.iterations_degraded, 0u);
 }
 
-TEST(OverloadShed, EscapeHatchRestoresBlocking)
+TEST(OverloadBlock, DefaultsTakeNoOverloadAction)
 {
+    // kBlock with the memory watermark and the analysis timeout at 0
+    // (the defaults): arrivals queue past the admission bound and no
+    // health-monitor action fires.
     constexpr std::size_t kIterations = 60;
     svc::ServiceOptions options = OverloadServiceOptions();
-    // The -lg:auto_trace:no_overload_control escape hatch: every
-    // policy behaves like kBlock, no health-monitor action fires.
-    options.config.overload_control = false;
-    options.memory_high_watermark_bytes = 1;  // would breach instantly
+    ASSERT_EQ(options.memory_high_watermark_bytes, 0u);
+    ASSERT_EQ(options.analysis_timeout_tasks, 0u);
     svc::TraceService service(std::move(options));
     svc::SyntheticWorkload app(KernelOptions(7));
     service.AddTenant(OpenLoopTenant(&app, kIterations,
                                      /*arrival_gap=*/20,
-                                     svc::OverloadPolicy::kShed,
+                                     svc::OverloadPolicy::kBlock,
                                      /*bound=*/4, 0));
     const svc::ServiceResult result = service.Run();
     const svc::TenantStats& stats = result.tenants[0];
@@ -291,11 +293,12 @@ TEST(OverloadShed, EscapeHatchRestoresBlocking)
     EXPECT_EQ(stats.iterations_completed, kIterations);
     EXPECT_EQ(stats.iterations_shed, 0u);
     EXPECT_EQ(stats.iterations_degraded, 0u);
-    // The backlog grew past the (ignored) bound — kBlock behaviour.
+    // The backlog grew past the bound kBlock does not enforce.
     EXPECT_GT(stats.max_backlog, 4u);
     // The health monitor never sampled.
     EXPECT_EQ(result.health.samples, 0u);
     EXPECT_EQ(result.health.pressure_events, 0u);
+    EXPECT_EQ(result.health.watchdog_job_abandons, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -509,14 +512,14 @@ TEST(MiningCacheOverload, AbandonInProgressReleasesWaiters)
                                                66, 77, 88, 99, 110};
     const core::MiningCache::Key key = core::MiningCache::KeyOf(window);
     const core::MiningCache::Claim first =
-        cache.AcquireOrBegin(key, window);
+        cache.AcquireOrBegin(key, test::SnapshotOf(window));
     ASSERT_TRUE(first.miner);
 
     std::atomic<bool> released{false};
     std::atomic<bool> waiter_became_miner{false};
     std::thread waiter([&] {
         const core::MiningCache::Claim claim =
-            cache.AcquireOrBegin(key, window);
+            cache.AcquireOrBegin(key, test::SnapshotOf(window));
         waiter_became_miner.store(claim.miner);
         released.store(true);
     });

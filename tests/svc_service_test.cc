@@ -41,6 +41,7 @@
 #include "support/executor.h"
 #include "svc/service.h"
 #include "svc/workload.h"
+#include "test_util.h"
 
 namespace apo {
 namespace {
@@ -111,7 +112,7 @@ TEST(MiningCacheNamespace, SaltedWindowsShareOneEntry)
     const core::MiningCache::Key key =
         core::MiningCache::KeyOf(window, 0);
     core::MiningCache::Claim claim =
-        cache.AcquireOrBegin(key, std::span<const rt::TokenHash>(window), 0);
+        cache.AcquireOrBegin(key, test::SnapshotOf(window), 0);
     ASSERT_TRUE(claim.miner);
     std::vector<core::CandidateTrace> mined(1);
     mined[0].tokens = {1, 2, 3, 4};
@@ -121,7 +122,7 @@ TEST(MiningCacheNamespace, SaltedWindowsShareOneEntry)
     // The other tenant probes with its salted window and adopts.
     claim = cache.AcquireOrBegin(
         core::MiningCache::KeyOf(salted, ns),
-        std::span<const rt::TokenHash>(salted), ns);
+        test::SnapshotOf(salted), ns);
     ASSERT_NE(claim.results, nullptr);
     EXPECT_FALSE(claim.miner);
     EXPECT_EQ(claim.owner, 0u);  // published by namespace 0
@@ -152,11 +153,11 @@ TEST(MiningCacheNamespace, SameNamespaceHitIsNotCross)
     const core::MiningCache::Key key =
         core::MiningCache::KeyOf(window, ns);
     core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window), ns);
+        key, test::SnapshotOf(window), ns);
     ASSERT_TRUE(claim.miner);
     cache.Publish(key, window, std::vector<core::CandidateTrace>{}, ns);
     claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window), ns);
+        key, test::SnapshotOf(window), ns);
     ASSERT_NE(claim.results, nullptr);
     EXPECT_EQ(claim.owner, ns);
     const core::MiningCache::Stats stats = cache.Snapshot();
@@ -172,7 +173,7 @@ TEST(MiningCacheNamespace, EvictionsAreCounted)
         const core::MiningCache::Key key =
             core::MiningCache::KeyOf(window, 0);
         const core::MiningCache::Claim claim = cache.AcquireOrBegin(
-            key, std::span<const rt::TokenHash>(window), 0);
+            key, test::SnapshotOf(window), 0);
         ASSERT_TRUE(claim.miner);
         cache.Publish(key, window, std::vector<core::CandidateTrace>{},
                       0);

@@ -6,9 +6,12 @@
 #define APOPHENIA_TESTS_TEST_UTIL_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "core/history.h"
+#include "runtime/task.h"
 #include "strings/suffix_array.h"
 #include "support/rng.h"
 
@@ -65,6 +68,21 @@ inline strings::Sequence PeriodicSeq(std::size_t n, std::uint64_t period,
     }
     s.resize(n);
     return s;
+}
+
+/** A history snapshot of `tokens`, split across blocks of `block_size`
+ * tokens the way the finder's window is. The snapshot keeps its blocks
+ * alive after the ring that built them is gone. */
+inline core::HistorySnapshot SnapshotOf(std::span<const rt::TokenHash> tokens,
+                                        std::size_t block_size = 64)
+{
+    core::HistoryRing ring(tokens.size(), block_size);
+    for (const rt::TokenHash token : tokens) {
+        ring.Append(token);
+    }
+    core::HistorySnapshot snapshot;
+    ring.SnapshotLastN(tokens.size(), snapshot);
+    return snapshot;
 }
 
 }  // namespace apo::test
